@@ -38,12 +38,3 @@ pub use route::{Community, Route};
 pub use routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
 pub use topology::{EdgeId, NodeId, Topology};
 pub use trace::{Event, Trace};
-
-/// Canonical JSON text of a serializable model value: the serde shim
-/// emits sorted map/set entries, so equal values produce equal strings.
-/// This is the one definition of the canonical-text idiom that check
-/// fingerprinting, semantic config diffing and spec digests all build
-/// on — equality layers across crates must not drift apart.
-pub fn canonical_json<T: serde::Serialize>(x: &T) -> String {
-    serde_json::to_string(&x.to_value()).expect("canonical serialization")
-}

@@ -87,22 +87,22 @@ impl Drop for Daemon {
     }
 }
 
-/// One `POST /api/v1` round-trip against `addr`.
-fn post_to(addr: &str, req: &Value) -> (u16, Value) {
-    let body = serde_json::to_string(req).unwrap();
+/// One HTTP exchange with `addr`: `(http_status, raw_response)`.
+fn exchange(addr: &str, head: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
     stream
-        .write_all(
-            format!(
-                "POST /api/v1 HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
+        .write_all(format!("{head}\r\nHost: x\r\n").as_bytes())
         .unwrap();
+    if head.starts_with("POST") {
+        stream
+            .write_all(format!("Content-Length: {}\r\n", body.len()).as_bytes())
+            .unwrap();
+    }
+    stream.write_all(b"\r\n").unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     let code = text
@@ -110,10 +110,21 @@ fn post_to(addr: &str, req: &Value) -> (u16, Value) {
         .nth(1)
         .and_then(|c| c.parse().ok())
         .unwrap_or(0);
+    (code, text)
+}
+
+/// `POST /api/v1` with a raw body: `(http_status, response_body)`.
+fn post_raw(addr: &str, body: &str) -> (u16, Value) {
+    let (code, text) = exchange(addr, "POST /api/v1 HTTP/1.1", body);
     let payload = text.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
     let v =
         serde_json::from_str(payload).unwrap_or_else(|e| panic!("bad response body ({e}): {text}"));
     (code, v)
+}
+
+/// One `POST /api/v1` round-trip against `addr`.
+fn post_to(addr: &str, req: &Value) -> (u16, Value) {
+    post_raw(addr, &serde_json::to_string(req).unwrap())
 }
 
 // ------------------------------------------------------------- requests
@@ -407,29 +418,7 @@ fn queue_overflow_answers_429_and_recovers() {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let body = serde_json::to_string(&verify("t")).unwrap();
-                    let mut stream = TcpStream::connect(&addr).unwrap();
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(120)))
-                        .unwrap();
-                    stream
-                        .write_all(
-                            format!(
-                                "POST /api/v1 HTTP/1.1\r\nHost: x\r\n\
-                                 Content-Length: {}\r\n\r\n{body}",
-                                body.len()
-                            )
-                            .as_bytes(),
-                        )
-                        .unwrap();
-                    let mut text = String::new();
-                    stream.read_to_string(&mut text).unwrap();
-                    text.split_whitespace()
-                        .nth(1)
-                        .and_then(|c| c.parse().ok())
-                        .unwrap_or(0)
-                })
+                std::thread::spawn(move || post_to(&addr, &verify("t")).0)
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -514,11 +503,32 @@ fn protocol_errors_are_typed() {
     assert_eq!(resp["result"]["api_version"].as_u64(), Some(1));
 
     // The telemetry endpoints share the listener.
-    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
-    stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-        .unwrap();
-    let mut text = String::new();
-    stream.read_to_string(&mut text).unwrap();
-    assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    let (code, text) = exchange(&daemon.addr, "GET /healthz HTTP/1.1", "");
+    assert_eq!(code, 200, "{text}");
+}
+
+/// A nesting bomb (the parser once recursed per `[` and overflowed the
+/// connection thread's stack, aborting every tenant) is a typed 400;
+/// the daemon and its other tenants carry on.
+#[test]
+fn nesting_bomb_is_a_400_and_other_tenants_carry_on() {
+    let daemon = Daemon::start(&[]);
+    let (code, resp) = daemon.post(&submit("a", &small_files(R1), &small_spec()));
+    assert_eq!(code, 200, "{resp:?}");
+
+    let (code, resp) = post_raw(&daemon.addr, &"[".repeat(600 << 10));
+    assert_eq!(code, 400, "{resp:?}");
+    assert!(
+        resp["error"]
+            .as_str()
+            .unwrap()
+            .contains("nesting too deep at byte 128"),
+        "{resp:?}"
+    );
+
+    let (code, text) = exchange(&daemon.addr, "GET /healthz HTTP/1.1", "");
+    assert_eq!(code, 200, "{text}");
+    let (code, resp) = daemon.post(&delta("a", &small_files(&r1_edited())));
+    assert_eq!(code, 200, "{resp:?}");
+    assert_eq!(resp["ok"], true, "{resp:?}");
 }

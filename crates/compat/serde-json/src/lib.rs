@@ -181,15 +181,24 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 // Parser
 // ---------------------------------------------------------------------
 
+/// The deepest array/object nesting the parser accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so
+/// without a cap a few hundred kilobytes of `[` would overflow the
+/// stack and abort the process instead of failing the parse.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -243,11 +252,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one container a level deeper, refusing to open more than
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -414,6 +435,31 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         let v2: Value = from_str(&pretty).unwrap();
         assert_eq!(v, v2);
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let v: Value = from_str(&nested_arrays(MAX_DEPTH)).unwrap();
+        assert!(matches!(v, Value::Array(_)));
+        let e = from_str::<Value>(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.0, format!("nesting too deep at byte {MAX_DEPTH}"));
+        // Objects count toward the same limit.
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str::<Value>(&mixed)
+            .unwrap_err()
+            .0
+            .contains("nesting too deep"));
+    }
+
+    #[test]
+    fn a_megabyte_of_brackets_is_an_error_not_an_abort() {
+        let bomb = "[".repeat(1 << 20);
+        let e = from_slice::<Value>(bomb.as_bytes()).unwrap_err();
+        assert_eq!(e.0, format!("nesting too deep at byte {MAX_DEPTH}"));
     }
 
     #[test]

@@ -8,110 +8,87 @@
 //! invariant template, so those checks collapse to a single fingerprint
 //! and a single solver call (`orchestrator::run_deduped`).
 //!
-//! What each check kind contributes (rules in the `orchestrator` crate
-//! docs: tags, length prefixes, sorted unordered collections, format
-//! version, universe digest):
+//! The fingerprints form one chain, each link hashing the one before:
 //!
-//! * **Transfer** (import/export): direction, liveness `require_accept`
-//!   bit, the route-map *contents* (entries, not the name), every ghost
-//!   attribute's name and its update on this specific edge+direction,
-//!   the assume/ensure predicates, and the universe digest.
-//! * **Originate**: the multiset of originated routes (sorted canonical
-//!   forms), each ghost's name and origination default, the ensure
-//!   predicate, and the universe digest.
-//! * **Implication**: the assume/ensure predicates and the universe
-//!   digest.
+//! * `transfer_fingerprint`: one edge direction's transfer relation —
+//!   the universe digest, the direction, the route-map *contents*
+//!   (entries, not the name) and every ghost's name with its update on
+//!   that edge and direction.
+//! * `rest_fingerprint`: everything but the assume side —
+//!   H(transfer, `require_accept`, ensure) for a transfer check,
+//!   H(universe, ensure) for an implication.
+//! * `check_fingerprint`: H(rest, assume). An Originate check has no
+//!   symbolic assume side and hashes its own body: the universe digest,
+//!   the originated routes as a multiset (route digests, sorted), each
+//!   ghost's name with its origination default, and the ensure side.
 //!
-//! Predicates, route-map entries and routes are canonicalized through
-//! their serde form: the shim's serializer emits sorted map/set entries,
-//! so equal values produce equal JSON text. The attribute universe is
-//! hashed in sorted order, making fingerprints stable across runs that
-//! build the universe in different insertion orders.
+//! **Canonical stream.** Values are written by their derived
+//! [`std::hash::Hash`] impls into [`FpHasher`], whose `Hasher` face
+//! pins every integer to fixed-width little-endian and `usize`/`isize`
+//! to 8 bytes. std supplies the framing: a length prefix before every
+//! slice, `Vec` and `BTreeSet`, a terminator after every string, and
+//! each enum variant's discriminant before its fields, so distinct
+//! values cannot run together into one stream. `BTreeSet`s (a route's
+//! communities) hash in sorted order; unordered tables this module
+//! builds itself (ghosts, originated routes, universe tables) are
+//! sorted first. Every chain starts from a tag and `FP_VERSION`.
+//!
+//! **Toolchain changes only cost misses.** The stream belongs to the
+//! std `Hash` impls of the compiler that built the binary (and integer
+//! slices are written as raw native-endian bytes). A toolchain that
+//! writes some type differently moves the fingerprint of every check
+//! containing that type, so a cache spilled by the old build stops
+//! matching and its checks are re-proved. A wrong match would need the
+//! old build's stream for one check to equal the new build's stream for
+//! a *different* check byte for byte; a framing change (a terminator, a
+//! prefix width) moves every value of the changed type alike, which
+//! yields misses, not such pairs.
 
 use crate::engine::CheckBody;
-use crate::ghost::{GhostAttr, GhostUpdate};
-use crate::pred::RoutePred;
+use crate::ghost::GhostAttr;
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
-use bgp_model::routemap::RouteMap;
+use bgp_model::topology::EdgeId;
 use orchestrator::{Fingerprint, FpHasher};
-use serde::Serialize;
+use std::hash::{Hash, Hasher};
 
 /// Bump when any canonical encoding below changes; spilled caches keyed
 /// under the old version then simply miss instead of corrupting runs.
-const FP_VERSION: u32 = 1;
+/// Version 1 hashed canonical JSON text; version 2 derived `Hash`.
+const FP_VERSION: u32 = 2;
 
-fn write_serde(h: &mut FpHasher, tag: &str, x: &impl Serialize) {
+/// A hasher opened with a structure tag and the format version.
+fn tagged(tag: &str) -> FpHasher {
+    let mut h = FpHasher::new();
     h.write_tag(tag);
-    h.write_str(&bgp_model::canonical_json(x));
+    h.write_u32(FP_VERSION);
+    h
+}
+
+/// Digest of one value under a structure tag.
+fn digest(tag: &str, x: &impl Hash) -> Fingerprint {
+    let mut h = tagged(tag);
+    x.hash(&mut h);
+    h.finish()
 }
 
 /// Digest of the attribute universe (sorted, order-insensitive).
 pub fn universe_digest(u: &Universe) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag("universe");
-    h.write_u32(FP_VERSION);
-
     let mut comms = u.communities().to_vec();
     comms.sort();
-    h.write_u64(comms.len() as u64);
-    for c in comms {
-        h.write_u32(c.0);
-    }
-
     let mut regexes = u.regexes().to_vec();
     regexes.sort();
-    h.write_u64(regexes.len() as u64);
-    for r in regexes {
-        h.write_str(&r);
-    }
-
     let mut ghosts = u.ghosts().to_vec();
     ghosts.sort();
-    h.write_u64(ghosts.len() as u64);
-    for g in ghosts {
-        h.write_str(&g);
-    }
-    h.finish()
+    digest("universe", &(comms, regexes, ghosts))
 }
 
-fn write_pred(h: &mut FpHasher, tag: &str, p: &RoutePred) {
-    write_serde(h, tag, p);
-}
-
-/// Route-map contents without the (renaming-sensitive) map name.
-fn write_route_map(h: &mut FpHasher, map: Option<&RouteMap>) {
-    match map {
-        None => h.write_tag("no-map"),
-        Some(m) => {
-            h.write_tag("map");
-            write_serde(h, "entries", &m.entries);
-        }
-    }
-}
-
-fn write_ghost_update(h: &mut FpHasher, u: GhostUpdate) {
-    h.write_u8(match u {
-        GhostUpdate::SetTrue => 1,
-        GhostUpdate::SetFalse => 2,
-        GhostUpdate::Unchanged => 0,
-    });
-}
-
-/// Ghosts sorted by name with `per_ghost` contributing the part of each
-/// that the check's formula depends on.
-fn write_ghosts(
-    h: &mut FpHasher,
-    ghosts: &[GhostAttr],
-    per_ghost: impl Fn(&mut FpHasher, &GhostAttr),
-) {
-    let mut sorted: Vec<&GhostAttr> = ghosts.iter().collect();
-    sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    h.write_u64(sorted.len() as u64);
-    for g in sorted {
-        h.write_str(&g.name);
-        per_ghost(h, g);
-    }
+/// Ghosts sorted by name, each paired with the part of it that the
+/// check's formula depends on.
+fn hash_ghosts<T: Hash>(h: &mut FpHasher, ghosts: &[GhostAttr], part: impl Fn(&GhostAttr) -> T) {
+    let mut sorted: Vec<(&str, T)> = ghosts.iter().map(|g| (g.name.as_str(), part(g))).collect();
+    sorted.sort_by(|a, b| a.0.cmp(b.0));
+    sorted.hash(h);
 }
 
 /// The fingerprint of one edge's **transfer relation** only — the
@@ -126,28 +103,24 @@ pub(crate) fn transfer_fingerprint(
     universe_fp: Fingerprint,
     policy: &Policy,
     ghosts: &[GhostAttr],
-    edge: bgp_model::topology::EdgeId,
+    edge: EdgeId,
     is_import: bool,
 ) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag("transfer-base");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
-    h.write_bool(is_import);
+    let mut h = tagged("transfer");
+    universe_fp.hash(&mut h);
+    is_import.hash(&mut h);
     let map = if is_import {
         policy.import_map(edge)
     } else {
         policy.export_map(edge)
     };
-    write_route_map(&mut h, map);
-    write_ghosts(&mut h, ghosts, |h, g| {
-        let u = if is_import {
+    map.map(|m| &m.entries).hash(&mut h);
+    hash_ghosts(&mut h, ghosts, |g| {
+        if is_import {
             g.import_update(edge)
         } else {
             g.export_update(edge)
-        };
-        write_ghost_update(h, u);
+        }
     });
     h.finish()
 }
@@ -168,12 +141,7 @@ pub(crate) fn rest_fingerprint(
     ghosts: &[GhostAttr],
     body: &CheckBody,
 ) -> Option<Fingerprint> {
-    let mut h = FpHasher::new();
-    h.write_tag("check-rest");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
-    match body {
+    let (mut h, ensure) = match body {
         CheckBody::Transfer {
             edge,
             is_import,
@@ -181,32 +149,20 @@ pub(crate) fn rest_fingerprint(
             require_accept,
             ..
         } => {
-            h.write_tag("transfer");
-            h.write_bool(*is_import);
-            h.write_bool(*require_accept);
-            let map = if *is_import {
-                policy.import_map(*edge)
-            } else {
-                policy.export_map(*edge)
-            };
-            write_route_map(&mut h, map);
-            write_ghosts(&mut h, ghosts, |h, g| {
-                let u = if *is_import {
-                    g.import_update(*edge)
-                } else {
-                    g.export_update(*edge)
-                };
-                write_ghost_update(h, u);
-            });
-            write_pred(&mut h, "ensure", ensure);
+            let mut h = tagged("rest-transfer");
+            transfer_fingerprint(universe_fp, policy, ghosts, *edge, *is_import).hash(&mut h);
+            require_accept.hash(&mut h);
+            (h, ensure)
         }
         CheckBody::Implication { ensure, .. } => {
-            h.write_tag("implication");
-            write_pred(&mut h, "ensure", ensure);
+            let mut h = tagged("rest-implication");
+            universe_fp.hash(&mut h);
+            (h, ensure)
         }
         // Concrete finite evaluation: no symbolic assume side, no core.
         CheckBody::Originate { .. } => return None,
-    }
+    };
+    ensure.hash(&mut h);
     Some(h.finish())
 }
 
@@ -214,12 +170,8 @@ pub(crate) fn rest_fingerprint(
 /// between rounds with identical universe layouts (the re-verify engine
 /// resets its core cache on any layout change) and under equal rest
 /// fingerprints, which embed the universe digest.
-pub(crate) fn conjunct_fingerprint(pred: &RoutePred) -> u128 {
-    let mut h = FpHasher::new();
-    h.write_tag("conjunct");
-    h.write_u32(FP_VERSION);
-    h.write_str(&bgp_model::canonical_json(pred));
-    h.finish().0
+pub(crate) fn conjunct_fingerprint(pred: &crate::pred::RoutePred) -> u128 {
+    digest("conjunct", pred).0
 }
 
 /// The fingerprint of one resolved check.
@@ -229,68 +181,36 @@ pub(crate) fn check_fingerprint(
     ghosts: &[GhostAttr],
     body: &CheckBody,
 ) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag("check");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
     match body {
-        CheckBody::Transfer {
-            edge,
-            is_import,
-            assume,
-            ensure,
-            require_accept,
-        } => {
-            h.write_tag("transfer");
-            h.write_bool(*is_import);
-            h.write_bool(*require_accept);
-            let map = if *is_import {
-                policy.import_map(*edge)
-            } else {
-                policy.export_map(*edge)
-            };
-            write_route_map(&mut h, map);
-            write_ghosts(&mut h, ghosts, |h, g| {
-                let u = if *is_import {
-                    g.import_update(*edge)
-                } else {
-                    g.export_update(*edge)
-                };
-                write_ghost_update(h, u);
-            });
-            write_pred(&mut h, "assume", assume);
-            write_pred(&mut h, "ensure", ensure);
+        CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => {
+            let mut h = tagged("check");
+            rest_fingerprint(universe_fp, policy, ghosts, body).hash(&mut h);
+            assume.hash(&mut h);
+            h.finish()
         }
         CheckBody::Originate { edge, ensure } => {
-            h.write_tag("originate");
-            let mut routes: Vec<String> = policy
+            let mut h = tagged("originate");
+            universe_fp.hash(&mut h);
+            let mut routes: Vec<Fingerprint> = policy
                 .originated(*edge)
                 .iter()
-                .map(bgp_model::canonical_json)
+                .map(|r| digest("route", r))
                 .collect();
             routes.sort();
-            h.write_u64(routes.len() as u64);
-            for r in routes {
-                h.write_str(&r);
-            }
-            write_ghosts(&mut h, ghosts, |h, g| h.write_bool(g.originate_value));
-            write_pred(&mut h, "ensure", ensure);
-        }
-        CheckBody::Implication { assume, ensure } => {
-            h.write_tag("implication");
-            write_pred(&mut h, "assume", assume);
-            write_pred(&mut h, "ensure", ensure);
+            routes.hash(&mut h);
+            hash_ghosts(&mut h, ghosts, |g| g.originate_value);
+            ensure.hash(&mut h);
+            h.finish()
         }
     }
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_model::routemap::{RouteMapEntry, SetAction};
-    use bgp_model::topology::EdgeId;
+    use crate::ghost::GhostUpdate;
+    use crate::pred::RoutePred;
+    use bgp_model::routemap::{RouteMap, RouteMapEntry, SetAction};
     use bgp_model::{Community, Route};
 
     fn tag_map(name: &str) -> RouteMap {
@@ -390,5 +310,25 @@ mod tests {
         pol.add_origination(EdgeId(0), Route::new("203.0.113.0/24".parse().unwrap()));
         let b = check_fingerprint(ufp, &pol, &[], &body);
         assert_ne!(a, b);
+        // The routes are a multiset: order does not matter, contents do.
+        let on = |edge: EdgeId| CheckBody::Originate {
+            edge,
+            ensure: RoutePred::True,
+        };
+        pol.add_origination(EdgeId(1), Route::new("203.0.113.0/24".parse().unwrap()));
+        pol.add_origination(EdgeId(1), Route::new("198.51.100.0/24".parse().unwrap()));
+        pol.add_origination(EdgeId(2), Route::new("198.51.100.0/24".parse().unwrap()));
+        pol.add_origination(EdgeId(2), Route::new("192.0.2.0/24".parse().unwrap()));
+        let fp = |e| check_fingerprint(ufp, &pol, &[], &on(EdgeId(e)));
+        assert_eq!(fp(0), fp(1));
+        assert_ne!(fp(0), fp(2));
+        // Origination defaults are part of the check.
+        let tagged = crate::ghost::GhostAttr::new("G");
+        let mut set = tagged.clone();
+        set.originate_value = true;
+        assert_ne!(
+            check_fingerprint(ufp, &pol, &[tagged], &on(EdgeId(0))),
+            check_fingerprint(ufp, &pol, &[set], &on(EdgeId(0)))
+        );
     }
 }

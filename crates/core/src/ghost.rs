@@ -11,7 +11,7 @@ use bgp_model::topology::EdgeId;
 use std::collections::HashMap;
 
 /// How a filter updates a ghost attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum GhostUpdate {
     /// Set the attribute to true.
     SetTrue,

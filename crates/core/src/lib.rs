@@ -104,6 +104,9 @@ pub mod check;
 pub mod encode;
 pub mod engine;
 pub mod fingerprint;
+#[cfg(any(test, feature = "fingerprint-v1"))]
+#[doc(hidden)]
+pub mod fingerprint_v1;
 pub mod ghost;
 pub mod impact;
 pub mod infer;

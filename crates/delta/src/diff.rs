@@ -3,6 +3,7 @@
 
 use bgp_config::ast::{ConfigAst, MatchAst, NeighborAst};
 use bgp_config::lower::resolve_route_map;
+use bgp_model::{Ipv4Prefix, RouteMapEntry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -149,27 +150,26 @@ impl fmt::Display for ConfigDelta {
     }
 }
 
-use bgp_model::canonical_json as canon;
+/// A route-map attachment resolved to its full meaning: `None` when no
+/// map is attached, else the resolved entries — or, for a dangling
+/// reference, the error text (conservatively a change whenever it
+/// differs).
+type Attachment = Option<Result<Vec<RouteMapEntry>, String>>;
 
-/// A route-map attachment resolved to its full meaning, or a marker for
-/// dangling references (conservatively treated as a change whenever the
-/// marker text differs).
-fn resolve_attachment(cfg: &ConfigAst, name: Option<&String>) -> String {
-    match name {
-        None => "-".to_string(),
-        Some(n) => match resolve_route_map(cfg, n) {
-            Ok(map) => canon(&map.entries),
-            Err(e) => format!("!unresolvable:{n}:{e}"),
-        },
-    }
+fn resolve_attachment(cfg: &ConfigAst, name: Option<&String>) -> Attachment {
+    name.map(|n| {
+        resolve_route_map(cfg, n)
+            .map(|map| map.entries)
+            .map_err(|e| format!("{n}: {e}"))
+    })
 }
 
 /// The semantic projection of one neighbor block.
-#[derive(PartialEq, Eq)]
+#[derive(PartialEq)]
 struct NeighborSem {
     remote_as: Option<u32>,
-    import: String,
-    export: String,
+    import: Attachment,
+    export: Attachment,
 }
 
 /// The semantic projection of one router configuration: everything the
@@ -179,7 +179,7 @@ struct RouterSem {
     /// Keyed by peer name (the `description`, which is how lowering
     /// matches sessions); unnamed neighbors keyed by address.
     neighbors: BTreeMap<String, NeighborSem>,
-    networks: Vec<String>,
+    networks: Vec<Ipv4Prefix>,
 }
 
 fn project(cfg: &ConfigAst) -> RouterSem {
@@ -212,7 +212,7 @@ fn project(cfg: &ConfigAst) -> RouterSem {
                 },
             );
         }
-        networks = bgp.networks.iter().map(canon).collect();
+        networks = bgp.networks.clone();
         networks.sort();
     }
     RouterSem {

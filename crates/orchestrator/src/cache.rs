@@ -342,6 +342,7 @@ impl<V: Clone> ResultCache<V> {
 mod tests {
     use super::*;
     use crate::fingerprint::FpHasher;
+    use std::hash::Hasher;
 
     fn fp(n: u32) -> Fingerprint {
         let mut h = FpHasher::new();

@@ -4,10 +4,11 @@
 //! lanes over the same stream; the lanes' finalized states concatenate
 //! into the fingerprint. 128 bits makes accidental collisions across the
 //! largest realistic check populations (millions) negligible; the stream
-//! discipline (tags + length prefixes, see the crate docs) rules out
-//! concatenation ambiguity.
+//! discipline (tags, length prefixes and std's `Hash` framing, see the
+//! crate docs) rules out concatenation ambiguity.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// A 128-bit structural fingerprint.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,36 +75,10 @@ impl FpHasher {
         self.len = self.len.wrapping_add(1);
     }
 
-    /// Write one byte (no length prefix; only for fixed-width callers).
-    pub fn write_u8(&mut self, x: u8) {
-        self.mix(x);
-    }
-
-    /// Write a fixed-width u32.
-    pub fn write_u32(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.mix(b);
-        }
-    }
-
-    /// Write a fixed-width u64.
-    pub fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.mix(b);
-        }
-    }
-
-    /// Write a bool as one byte.
-    pub fn write_bool(&mut self, x: bool) {
-        self.mix(x as u8);
-    }
-
     /// Write variable-length bytes, length-prefixed (self-delimiting).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.mix(b);
-        }
+        self.write(bytes);
     }
 
     /// Write a string, length-prefixed.
@@ -128,6 +103,58 @@ impl FpHasher {
         let a = fin(self.lane_a ^ self.len);
         let b = fin(self.lane_b.wrapping_add(self.len.rotate_left(32)));
         Fingerprint(((a as u128) << 64) | b as u128)
+    }
+}
+
+/// The std [`Hasher`] face, so any `#[derive(Hash)]` value streams
+/// straight into a fingerprint (`value.hash(&mut h)`). Raw
+/// [`Hasher::write`] carries no length prefix — std's `Hash` impls add
+/// their own — and every integer is written little-endian at its fixed
+/// width, `usize`/`isize` (lengths, enum discriminants) as 8 bytes, so
+/// these writes do not depend on the host's pointer width or byte
+/// order. std hashes an integer *slice* (a `Vec<u32>` field) as one raw
+/// native-endian `write`, so a big-endian host still keys such values
+/// differently: its spills miss on a little-endian host, never match.
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b);
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.mix(x);
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        self.write_u64(x as i64 as u64);
+    }
+
+    /// The fingerprint folded to 64 bits; [`FpHasher::finish`] (the
+    /// inherent method) returns all 128.
+    fn finish(&self) -> u64 {
+        let f = FpHasher::finish(self).0;
+        (f >> 64) as u64 ^ f as u64
     }
 }
 
@@ -173,6 +200,22 @@ mod tests {
             h.write_str("bc");
         });
         assert_ne!(ab_c, a_bc);
+    }
+
+    #[test]
+    fn hasher_widths_are_pinned_little_endian() {
+        use std::hash::Hash;
+        let le = fp(|h| h.write(&[5, 0, 0, 0, 0, 0, 0, 0]));
+        assert_eq!(fp(|h| h.write_usize(5)), le);
+        assert_eq!(fp(|h| h.write_isize(5)), le);
+        assert_eq!(fp(|h| h.write_u64(5)), le);
+        assert_eq!(fp(|h| h.write_isize(-1)), fp(|h| h.write(&[0xff; 8])));
+        assert_eq!(fp(|h| 0x0102u16.hash(h)), fp(|h| h.write(&[2, 1])));
+        // Derived enums lead with their discriminant as an 8-byte isize.
+        assert_eq!(
+            fp(|h| Some(7u8).hash(h)),
+            fp(|h| h.write(&[1, 0, 0, 0, 0, 0, 0, 0, 7]))
+        );
     }
 
     #[test]

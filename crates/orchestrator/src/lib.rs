@@ -8,7 +8,7 @@
 //! router names. This crate is the subsystem that exploits that:
 //!
 //! * [`fingerprint`] — 128-bit structural fingerprints built from a
-//!   canonical byte stream. Callers (see `lightyear::engine`) encode the
+//!   canonical byte stream (derived `Hash` into [`FpHasher`]). Callers (see `lightyear::engine`) encode the
 //!   *resolved check body* — transfer function, assume/ensure
 //!   predicates, and the attribute-universe slice — and deliberately
 //!   exclude router names, node/edge ids and route-map names, so the
@@ -32,16 +32,27 @@
 //!
 //! 1. **No identities.** Never write router names, node ids, edge ids,
 //!    check ids, or route-map *names*; write route-map *contents*.
-//! 2. **Self-delimiting writes.** Every variable-length write is length-
-//!    prefixed ([`fingerprint::FpHasher::write_bytes`]) and every
-//!    composite is introduced by a tag ([`fingerprint::FpHasher::write_tag`]),
-//!    so distinct structures cannot collide by concatenation ambiguity.
-//! 3. **Canonical order.** Unordered collections (community sets, ghost
-//!    update tables) are written in sorted order; ordered collections
-//!    (route-map entries) in their semantic order.
-//! 4. **Version the format.** Streams start with a format-version tag;
-//!    bump it whenever the encoding of any component changes, which
-//!    safely invalidates spilled caches.
+//! 2. **Derived `Hash` into [`FpHasher`].** Values are streamed with
+//!    their `#[derive(Hash)]` impls (`value.hash(&mut h)`); `FpHasher`
+//!    implements [`std::hash::Hasher`] with every integer written
+//!    little-endian at its fixed width and `usize`/`isize` as 8 bytes.
+//!    std supplies the framing — a length prefix before each slice,
+//!    `Vec` and `BTreeSet`, a terminator after each `str`, each enum
+//!    variant's discriminant before its fields — so distinct structures
+//!    cannot collide by concatenation ambiguity. Hand-written parts use
+//!    the length-prefixed [`fingerprint::FpHasher::write_bytes`] and a
+//!    structure tag ([`fingerprint::FpHasher::write_tag`]).
+//! 3. **Canonical order.** `BTreeSet`s hash in sorted order by
+//!    construction; other unordered collections (ghost update tables,
+//!    originated routes, universe tables) are sorted before hashing;
+//!    ordered collections (route-map entries) keep their semantic order.
+//! 4. **Version the format.** Streams start with a tag and a format
+//!    version; bump it whenever the encoding of any component changes,
+//!    which safely invalidates spilled caches. The std `Hash` impls are
+//!    part of the format too: a toolchain that writes a type differently
+//!    moves every fingerprint containing it, so old spills miss (a cold
+//!    cache), and matching a *different* check would take an
+//!    old-format stream equal byte for byte to a new-format one.
 //! 5. **Hash the universe slice.** The SMT encoding of a predicate
 //!    depends on the attribute universe (community/regex/ghost tables),
 //!    so the universe digest is part of every fingerprint; two checks

@@ -332,6 +332,7 @@ where
 mod tests {
     use super::*;
     use crate::fingerprint::FpHasher;
+    use std::hash::Hasher;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fp(n: u32) -> Fingerprint {
